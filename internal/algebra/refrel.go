@@ -36,12 +36,15 @@ func (t *ticker) tick() error {
 }
 
 // RefRel is a set of tuples of references, with one named column per
-// selection-expression variable.
+// selection-expression variable. The dedup set and every hash table
+// below key rows by the references' ordinals (rowTable), never by an
+// encoded key string.
 type RefRel struct {
 	vars   []string
 	varIdx map[string]int
 	rows   [][]value.Value
-	set    map[string]struct{}
+	slab   []value.Value // backing store the next added rows are carved from
+	set    rowTable      // over rows, keyed by every column
 	st     *stats.Counters
 
 	// distinctCache memoizes DistinctOn per column set; invalidated on
@@ -52,18 +55,27 @@ type RefRel struct {
 // New creates an empty reference relation with the given variable
 // columns. Tuples added through Add are counted against st.
 func New(vars []string, st *stats.Counters) *RefRel {
+	return newSized(vars, st, 0)
+}
+
+// newSized is New with room for n tuples.
+func newSized(vars []string, st *stats.Counters, n int) *RefRel {
 	r := &RefRel{
+		rows:   make([][]value.Value, 0, n),
 		vars:   append([]string(nil), vars...),
 		varIdx: make(map[string]int, len(vars)),
-		set:    make(map[string]struct{}),
 		st:     st,
 	}
+	all := make([]int, len(vars))
 	for i, v := range vars {
 		if _, dup := r.varIdx[v]; dup {
 			panic(fmt.Sprintf("algebra: duplicate variable column %s", v))
 		}
 		r.varIdx[v] = i
+		all[i] = i
 	}
+	r.set = newRowTable(all, n)
+	r.slab = make([]value.Value, n*len(vars))
 	return r
 }
 
@@ -88,14 +100,19 @@ func (r *RefRel) Add(row []value.Value) bool {
 	if len(row) != len(r.vars) {
 		panic(fmt.Sprintf("algebra: arity mismatch: row %d vs vars %d", len(row), len(r.vars)))
 	}
-	k := value.EncodeKey(row)
-	if _, dup := r.set[k]; dup {
+	h := rowHash(row, r.set.cols)
+	if r.set.find(r.rows, h, row, r.set.cols) >= 0 {
 		return false
 	}
-	r.set[k] = struct{}{}
-	cp := make([]value.Value, len(row))
+	if len(r.slab) < len(row) {
+		// Chunks grow with the relation, as append would grow it.
+		r.slab = make([]value.Value, min(max(len(r.rows), 4), 1024)*len(row))
+	}
+	cp := r.slab[:len(row):len(row)]
+	r.slab = r.slab[len(row):]
 	copy(cp, row)
 	r.rows = append(r.rows, cp)
+	r.set.push(h)
 	r.distinctCache = nil
 	r.st.CountRefTuples(1, len(r.rows))
 	return true
@@ -103,8 +120,7 @@ func (r *RefRel) Add(row []value.Value) bool {
 
 // Has reports whether an identical tuple is present.
 func (r *RefRel) Has(row []value.Value) bool {
-	_, ok := r.set[value.EncodeKey(row)]
-	return ok
+	return r.set.find(r.rows, rowHash(row, r.set.cols), row, r.set.cols) >= 0
 }
 
 // String renders a summary for EXPLAIN and debugging.
@@ -112,24 +128,72 @@ func (r *RefRel) String() string {
 	return fmt.Sprintf("refrel(%s)[%d]", strings.Join(r.vars, ","), len(r.rows))
 }
 
-// keyAt encodes the values of a row at the given column indexes.
-func keyAt(row []value.Value, idx []int) string {
-	dst := make([]byte, 0, 16*len(idx))
-	for _, i := range idx {
-		dst = value.AppendKey(dst, row[i])
-	}
-	return string(dst)
+// rowTable is a hash table over rows of references, keyed by the
+// ordinals of chosen key columns. A bucket maps a key hash to a chain of
+// row indexes (head, then next[i] from row i), and every lookup
+// confirms a candidate with value.Equal on the key columns, so distinct
+// keys that share a hash never match. The rows themselves live with the
+// caller and are passed in, in the order they were linked.
+type rowTable struct {
+	cols []int // key columns of the indexed rows
+	head map[uint64]int32
+	next []int32 // next[i]: the next row of row i's bucket, -1 at the end
 }
 
-// keyAtBuf is keyAt into a reused buffer: probe loops encode one key
-// per row, and map lookups via string(buf) do not allocate, so probing
-// stays allocation-free regardless of the probe side's size.
-func keyAtBuf(dst []byte, row []value.Value, idx []int) []byte {
-	dst = dst[:0]
+func newRowTable(cols []int, n int) rowTable {
+	return rowTable{cols: cols, head: make(map[uint64]int32, n), next: make([]int32, 0, n)}
+}
+
+// rowHash hashes the ordinals of a row's key columns. A single-column
+// key hashes to its ordinal unchanged.
+func rowHash(row []value.Value, idx []int) uint64 {
+	var h uint64
 	for _, i := range idx {
-		dst = value.AppendKey(dst, row[i])
+		h = h*0x9E3779B97F4A7C15 ^ uint64(row[i].Ord())
 	}
-	return dst
+	return h
+}
+
+// sameKey reports whether a's columns ai equal b's columns bi.
+func sameKey(a []value.Value, ai []int, b []value.Value, bi []int) bool {
+	for k, i := range ai {
+		if !value.Equal(a[i], b[bi[k]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// first returns the first row of h's bucket, or -1.
+func (t *rowTable) first(h uint64) int32 {
+	if j, ok := t.head[h]; ok {
+		return j
+	}
+	return -1
+}
+
+// find returns the index of a row in rows whose key equals probe's
+// columns pidx (probe hashes to h), or -1.
+func (t *rowTable) find(rows [][]value.Value, h uint64, probe []value.Value, pidx []int) int {
+	for j := t.first(h); j >= 0; j = t.next[j] {
+		if sameKey(rows[j], t.cols, probe, pidx) {
+			return int(j)
+		}
+	}
+	return -1
+}
+
+// link chains row i into h's bucket, ahead of the rows linked before
+// it; next must already have a slot for i.
+func (t *rowTable) link(i int, h uint64) {
+	t.next[i] = t.first(h)
+	t.head[h] = int32(i)
+}
+
+// push links the next row, index len(next).
+func (t *rowTable) push(h uint64) {
+	t.next = append(t.next, 0)
+	t.link(len(t.next)-1, h)
 }
 
 // shared returns the variables common to a and b, with their column
@@ -182,26 +246,29 @@ func Join(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, error
 		bIdx, pIdx = bi, ai
 		buildIsA = false
 	}
-	ht := make(map[string][]int, build.Len())
-	kbuf := make([]byte, 0, 16*len(bIdx))
-	for i, row := range build.rows {
+	// Link the build rows last to first: each bucket then chains its
+	// rows in insertion order, the order matches are emitted in.
+	ht := newRowTable(bIdx, build.Len())
+	ht.next = ht.next[:build.Len()]
+	for i := build.Len() - 1; i >= 0; i-- {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, row, bIdx)
-		ht[string(kbuf)] = append(ht[string(kbuf)], i)
+		ht.link(i, rowHash(build.rows[i], bIdx))
 	}
 	for _, prow := range probe.rows {
 		st.CountProbes(1)
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, prow, pIdx)
-		for _, i := range ht[string(kbuf)] {
+		for i := ht.first(rowHash(prow, pIdx)); i >= 0; i = ht.next[i] {
+			brow := build.rows[i]
+			if !sameKey(brow, bIdx, prow, pIdx) {
+				continue
+			}
 			if err := tk.tick(); err != nil {
 				return nil, err
 			}
-			brow := build.rows[i]
 			var arow, brow2 []value.Value
 			if buildIsA {
 				arow, brow2 = brow, prow
@@ -321,47 +388,49 @@ func Divide(ctx context.Context, a *RefRel, v string, divisor []value.Value, st 
 			restIdx = append(restIdx, i)
 		}
 	}
-	// Deduplicate the divisor.
-	divSet := make(map[string]struct{}, len(divisor))
+	// Deduplicate the divisor (references of v's relation, keyed by
+	// ordinal).
+	divSet := make(map[int64]struct{}, len(divisor))
 	for _, d := range divisor {
-		divSet[value.EncodeKey([]value.Value{d})] = struct{}{}
+		divSet[d.Ord()] = struct{}{}
 	}
 	need := len(divSet)
 
-	// Group rows by the remaining variables and count distinct divisor
-	// members seen per group.
-	type group struct {
-		row  []value.Value
-		seen map[string]struct{}
-	}
+	// Group rows by the remaining variables, in first-occurrence order,
+	// and collect the distinct divisor members seen per group.
 	tk := ticker{ctx: ctx}
-	groups := make(map[string]*group)
-	order := make([]string, 0)
+	restCols := make([]int, len(restIdx))
+	for i := range restCols {
+		restCols[i] = i
+	}
+	groups := newRowTable(restCols, 0)
+	var rests [][]value.Value
+	var seen []map[int64]struct{}
 	for _, row := range a.rows {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		gk := keyAt(row, restIdx)
-		g := groups[gk]
-		if g == nil {
+		h := rowHash(row, restIdx)
+		g := groups.find(rests, h, row, restIdx)
+		if g < 0 {
 			rest := make([]value.Value, len(restIdx))
 			for i, j := range restIdx {
 				rest[i] = row[j]
 			}
-			g = &group{row: rest, seen: make(map[string]struct{})}
-			groups[gk] = g
-			order = append(order, gk)
+			g = len(rests)
+			rests = append(rests, rest)
+			seen = append(seen, make(map[int64]struct{}))
+			groups.push(h)
 		}
-		dk := value.EncodeKey([]value.Value{row[vi]})
-		if _, isDiv := divSet[dk]; isDiv {
-			g.seen[dk] = struct{}{}
+		d := row[vi].Ord()
+		if _, isDiv := divSet[d]; isDiv {
+			seen[g][d] = struct{}{}
 		}
 	}
 	out := New(restVars, st)
-	for _, gk := range order {
-		g := groups[gk]
-		if len(g.seen) == need {
-			out.Add(g.row)
+	for g, rest := range rests {
+		if len(seen[g]) == need {
+			out.Add(rest)
 		}
 	}
 	return out, nil
@@ -385,22 +454,19 @@ func Semijoin(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, e
 		}
 		return out, nil
 	}
-	ht := make(map[string]struct{}, b.Len())
-	kbuf := make([]byte, 0, 16*len(bi))
+	ht := newRowTable(bi, b.Len())
 	for _, row := range b.rows {
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, row, bi)
-		ht[string(kbuf)] = struct{}{}
+		ht.push(rowHash(row, bi))
 	}
 	for _, row := range a.rows {
 		st.CountProbes(1)
 		if err := tk.tick(); err != nil {
 			return nil, err
 		}
-		kbuf = keyAtBuf(kbuf, row, ai)
-		if _, ok := ht[string(kbuf)]; ok {
+		if ht.find(b.rows, rowHash(row, ai), row, ai) >= 0 {
 			out.Add(row)
 		}
 	}
@@ -411,7 +477,7 @@ func Semijoin(ctx context.Context, a, b *RefRel, st *stats.Counters) (*RefRel, e
 // list — the bridge from collection-phase structures (single lists,
 // range lists) into the combination phase.
 func FromRefs(v string, refs []value.Value, st *stats.Counters) *RefRel {
-	out := New([]string{v}, st)
+	out := newSized([]string{v}, st, len(refs))
 	row := make([]value.Value, 1)
 	for _, ref := range refs {
 		row[0] = ref
@@ -423,7 +489,7 @@ func FromRefs(v string, refs []value.Value, st *stats.Counters) *RefRel {
 // FromPairs builds a two-column reference relation from an indirect
 // join's pairs.
 func FromPairs(lv, rv string, pairs [][2]value.Value, st *stats.Counters) *RefRel {
-	out := New([]string{lv, rv}, st)
+	out := newSized([]string{lv, rv}, st, len(pairs))
 	row := make([]value.Value, 2)
 	for _, p := range pairs {
 		row[0], row[1] = p[0], p[1]
@@ -448,15 +514,20 @@ func (r *RefRel) DistinctOn(vars []string) int {
 		}
 		idx[i] = j
 	}
-	seen := make(map[string]struct{}, len(r.rows))
+	seen := newRowTable(idx, len(r.rows))
+	d := 0
 	for _, row := range r.rows {
-		seen[keyAt(row, idx)] = struct{}{}
+		h := rowHash(row, idx)
+		if seen.find(r.rows, h, row, idx) < 0 {
+			d++
+		}
+		seen.push(h)
 	}
 	if r.distinctCache == nil {
 		r.distinctCache = make(map[string]int)
 	}
-	r.distinctCache[ck] = len(seen)
-	return len(seen)
+	r.distinctCache[ck] = d
+	return d
 }
 
 // EstimateJoinSize predicts |a ⋈ b| from the relations' exact sizes and
@@ -486,8 +557,8 @@ func EstimateJoinSize(a, b *RefRel) (float64, bool) {
 // to compare contents order-independently.
 func (r *RefRel) SortedKeys() []string {
 	keys := make([]string, 0, len(r.rows))
-	for k := range r.set {
-		keys = append(keys, k)
+	for _, row := range r.rows {
+		keys = append(keys, value.EncodeKey(row))
 	}
 	sort.Strings(keys)
 	return keys

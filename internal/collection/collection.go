@@ -23,31 +23,26 @@ import (
 type SingleList struct {
 	Var  string
 	refs []value.Value
-	set  map[string]struct{}
+	set  keyMap[struct{}]
 }
 
 // NewSingleList creates an empty single list for a variable.
 func NewSingleList(v string) *SingleList {
-	return &SingleList{Var: v, set: make(map[string]struct{})}
+	return &SingleList{Var: v}
 }
 
 // Add inserts a reference.
 func (sl *SingleList) Add(ref value.Value) {
-	k := value.EncodeKey([]value.Value{ref})
-	if _, dup := sl.set[k]; dup {
-		return
+	if sl.set.insert(ref) {
+		sl.refs = append(sl.refs, ref)
 	}
-	sl.set[k] = struct{}{}
-	sl.refs = append(sl.refs, ref)
 }
 
 // Merge appends another single list built from a disjoint slice of the
-// same scan (a shard): references append in order and the dedup set
-// unions without re-encoding keys.
+// same scan (a shard): references append in order and the dedup sets
+// union.
 func (sl *SingleList) Merge(other *SingleList) {
-	for k := range other.set {
-		sl.set[k] = struct{}{}
-	}
+	sl.set.merge(&other.set)
 	sl.refs = append(sl.refs, other.refs...)
 }
 
@@ -59,7 +54,7 @@ func (sl *SingleList) Len() int { return len(sl.refs) }
 
 // Has reports whether a reference is present.
 func (sl *SingleList) Has(ref value.Value) bool {
-	_, ok := sl.set[value.EncodeKey([]value.Value{ref})]
+	_, ok := sl.set.get(ref)
 	return ok
 }
 
@@ -94,7 +89,9 @@ type Index struct {
 	entries []IndexEntry // insertion order; immutable once built
 
 	eqOnce sync.Once
-	eq     map[string][]value.Value
+	eqKeys keyMap[int32] // value -> group, numbered by first occurrence
+	eqOff  []int32       // group g's references: eqRefs[eqOff[g]:eqOff[g+1]]
+	eqRefs []value.Value // references grouped by value, insertion order within a group
 
 	sortOnce sync.Once
 	sorted   []IndexEntry // ascending by Val, stable; derived copy
@@ -118,18 +115,44 @@ func (ix *Index) Merge(other *Index) {
 	ix.entries = append(ix.entries, other.entries...)
 }
 
-// eqMap builds (once, first =-probe) and returns the equality hash
-// table. Entries are immutable by then: builds complete before probes.
-func (ix *Index) eqMap() map[string][]value.Value {
+// eqProbe returns the references whose indexed value equals v, building
+// the equality hash table on the first call. Entries are immutable by
+// then: builds complete before probes. The table maps each distinct
+// value to a group, and the groups' references sit contiguously in one
+// array, so the build allocates a handful of arrays, not one slice per
+// value.
+func (ix *Index) eqProbe(v value.Value) []value.Value {
 	ix.eqOnce.Do(func() {
-		m := make(map[string][]value.Value, len(ix.entries))
-		for _, e := range ix.entries {
-			k := value.EncodeKey([]value.Value{e.Val})
-			m[k] = append(m[k], e.Ref)
+		ix.eqKeys.hint = len(ix.entries)
+		grp := make([]int32, len(ix.entries))
+		var count []int32
+		for i, e := range ix.entries {
+			g, ok := ix.eqKeys.get(e.Val)
+			if !ok {
+				g = int32(len(count))
+				ix.eqKeys.put(e.Val, g)
+				count = append(count, 0)
+			}
+			count[g]++
+			grp[i] = g
 		}
-		ix.eq = m
+		ix.eqOff = make([]int32, len(count)+1)
+		for g, c := range count {
+			ix.eqOff[g+1] = ix.eqOff[g] + c
+			count[g] = ix.eqOff[g] // from here on: group g's next free slot
+		}
+		ix.eqRefs = make([]value.Value, len(ix.entries))
+		for i, e := range ix.entries {
+			ix.eqRefs[count[grp[i]]] = e.Ref
+			count[grp[i]]++
+		}
 	})
-	return ix.eq
+	g, ok := ix.eqKeys.get(v)
+	if !ok {
+		return nil
+	}
+	lo, hi := ix.eqOff[g], ix.eqOff[g+1]
+	return ix.eqRefs[lo:hi:hi]
 }
 
 // sortedEntries builds (once, first ordered probe) and returns a stable
@@ -156,7 +179,7 @@ func (ix *Index) Entries() []IndexEntry { return ix.entries }
 // one probe into st.
 func (ix *Index) ProbeEq(st *stats.Counters, v value.Value) []value.Value {
 	st.CountProbes(1)
-	return ix.eqMap()[value.EncodeKey([]value.Value{v})]
+	return ix.eqProbe(v)
 }
 
 // Probe calls fn with every reference whose indexed value iv satisfies
@@ -168,7 +191,7 @@ func (ix *Index) Probe(st *stats.Counters, op value.CmpOp, pv value.Value, fn fu
 	st.CountProbes(1)
 	switch op {
 	case value.OpEq:
-		for _, ref := range ix.eqMap()[value.EncodeKey([]value.Value{pv})] {
+		for _, ref := range ix.eqProbe(pv) {
 			fn(ref)
 		}
 	case value.OpNe:

@@ -2,6 +2,7 @@ package collection
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pascalr/internal/value"
 )
@@ -11,29 +12,56 @@ import (
 // strategy 4 builds instead of a complete index ("When vnrel is read,
 // instead of a complete index only its value list is generated").
 type ValueList struct {
-	set      map[string]struct{}
+	set      keyMap[struct{}]
 	vals     []value.Value
 	min, max value.Value
 }
 
 // NewValueList creates an empty value list.
 func NewValueList() *ValueList {
-	return &ValueList{set: make(map[string]struct{})}
+	return &ValueList{}
 }
 
 // Add inserts a value, maintaining the distinct set and the min/max.
+// Values of the list's ordinal sort compare by their Ord payloads,
+// which order exactly as value.Compare does for integers, booleans,
+// same-type enumerations and references; on a tie the earlier value
+// stays the extreme.
 func (vl *ValueList) Add(v value.Value) {
-	k := value.EncodeKey([]value.Value{v})
-	if _, dup := vl.set[k]; dup {
+	if !vl.set.insert(v) {
 		return
 	}
-	vl.set[k] = struct{}{}
 	vl.vals = append(vl.vals, v)
-	if !vl.min.IsValid() || value.MustCompare(v, vl.min) < 0 {
-		vl.min = v
+	switch {
+	case len(vl.vals) == 1:
+		vl.min, vl.max = v, v
+	case vl.set.isOrd(v):
+		if o := v.Ord(); o < vl.min.Ord() {
+			vl.min = v
+		} else if o > vl.max.Ord() {
+			vl.max = v
+		}
+	default:
+		if value.MustCompare(v, vl.min) < 0 {
+			vl.min = v
+		} else if value.MustCompare(v, vl.max) > 0 {
+			vl.max = v
+		}
 	}
-	if !vl.max.IsValid() || value.MustCompare(v, vl.max) > 0 {
-		vl.max = v
+}
+
+// Merge adds another list's values in its insertion order, exactly as
+// if they had been added here one by one — the first occurrence wins
+// the dedup and a tie keeps the earlier extreme. It folds shard-local
+// lists built over consecutive slices of one scan. An empty list takes
+// over o's storage, so o must not be used afterwards.
+func (vl *ValueList) Merge(o *ValueList) {
+	if vl.Len() == 0 {
+		*vl = *o
+		return
+	}
+	for _, v := range o.vals {
+		vl.Add(v)
 	}
 }
 
@@ -42,7 +70,7 @@ func (vl *ValueList) Len() int { return len(vl.vals) }
 
 // Has reports membership.
 func (vl *ValueList) Has(v value.Value) bool {
-	_, ok := vl.set[value.EncodeKey([]value.Value{v})]
+	_, ok := vl.set.get(v)
 	return ok
 }
 
@@ -62,6 +90,11 @@ func (vl *ValueList) Values() []value.Value { return vl.vals }
 // reproducing the paper's storage refinements.
 type QuantPred interface {
 	Test(x value.Value) bool
+	// FilterOrdBits is Test over an unboxed column of kind k (and, for
+	// enumerations, type enum): it clears the bits in words of the rows
+	// for which Test would be false. The column-wise form strategy 4's
+	// derived atoms run in the vectorized collection path.
+	FilterOrdBits(k value.Kind, enum string, col []int64, words []uint64)
 	Size() int
 	String() string
 }
@@ -129,6 +162,14 @@ func (p *boundPred) Test(x value.Value) bool {
 	ok, err := p.op.Apply(x, p.bound)
 	return err == nil && ok
 }
+func (p *boundPred) FilterOrdBits(k value.Kind, enum string, col []int64, words []uint64) {
+	b := p.bound
+	if b.Kind() != k || (k == value.KindEnum && b.EnumType() != enum) {
+		clear(words) // Test fails on every value of another sort
+		return
+	}
+	p.op.FilterOrdBits(col, b.Ord(), words)
+}
 func (p *boundPred) Size() int      { return 1 }
 func (p *boundPred) String() string { return fmt.Sprintf("x %v %v", p.op, p.bound) }
 
@@ -140,7 +181,19 @@ type setPred struct {
 }
 
 func (p *setPred) Test(x value.Value) bool { return p.vl.Has(x) == p.member }
-func (p *setPred) Size() int               { return p.vl.Len() }
+func (p *setPred) FilterOrdBits(k value.Kind, enum string, col []int64, words []uint64) {
+	ords := p.vl.set.ordsFor(k, enum) // nil: no value of this sort is listed
+	for wi, w := range words {
+		for m := w; m != 0; m &= m - 1 {
+			i := bits.TrailingZeros64(m)
+			if _, in := ords[col[wi*64+i]]; in != p.member {
+				w &^= 1 << uint(i)
+			}
+		}
+		words[wi] = w
+	}
+}
+func (p *setPred) Size() int { return p.vl.Len() }
 func (p *setPred) String() string {
 	if p.member {
 		return fmt.Sprintf("x IN list[%d]", p.vl.Len())
@@ -153,7 +206,12 @@ func (p *setPred) String() string {
 type constPred bool
 
 func (p constPred) Test(value.Value) bool { return bool(p) }
-func (p constPred) Size() int             { return 0 }
+func (p constPred) FilterOrdBits(_ value.Kind, _ string, _ []int64, words []uint64) {
+	if !p {
+		clear(words)
+	}
+}
+func (p constPred) Size() int { return 0 }
 func (p constPred) String() string {
 	if p {
 		return "always TRUE"

@@ -26,8 +26,8 @@ import (
 // counterpart would have, in the same order — a batched Cmp over a
 // selection of k rows counts k comparisons, a chain of predicates
 // evaluates (and counts) predicate j only over the rows predicates
-// 0..j-1 kept, and row-only predicates (derived strategy-4 atoms) run
-// against reconstructed rows exactly on the selected positions. Batch
+// 0..j-1 kept, and row-only predicates (multi-dyadic strategy-4 atoms)
+// run against reconstructed rows exactly on the selected positions. Batch
 // runs are therefore bit-identical — results AND counter fingerprints —
 // to ExecTuple runs, which enginetest asserts differentially.
 
@@ -89,8 +89,9 @@ func evalBatchPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, 
 // liftRowPred degrades a row predicate to batch form: the predicate
 // runs against reconstructed rows, exactly on the selected positions in
 // ascending order, so its counting is untouched. This is the seam
-// where batches fall back to tuple-at-a-time evaluation (derived
-// strategy-4 atoms and anything else without a bulk form).
+// where batches fall back to tuple-at-a-time evaluation; only
+// multi-dyadic strategy-4 atoms, which test a list of projected tuples,
+// still take it.
 func liftRowPred(pr rowPred) batchPred {
 	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 		row := make([]value.Value, b.NumCols())
@@ -324,7 +325,7 @@ func (p *plan) rangeBatchPredsFor(v string) ([]batchPred, bool) {
 }
 
 // compileBatchAtoms compiles monadic atoms over v to batch form: plain
-// comparisons in bulk, derived strategy-4 atoms lifted row-wise.
+// comparisons and derived strategy-4 atoms alike (compileBatchSemiAtom).
 func (p *plan) compileBatchAtoms(v string, atoms []optimizer.Atom) ([]batchPred, bool) {
 	node := p.vars[v]
 	out := make([]batchPred, 0, len(atoms))
@@ -341,13 +342,69 @@ func (p *plan) compileBatchAtoms(v string, atoms []optimizer.Atom) ([]batchPred,
 		if !ok {
 			return nil, false
 		}
-		pr, err := compileSemiAtom(a.Semi, node.sch, rt)
+		bp, err := compileBatchSemiAtom(a.Semi, node.sch, rt)
 		if err != nil {
 			return nil, false
 		}
-		out = append(out, liftRowPred(pr))
+		out = append(out, bp)
 	}
 	return out, true
+}
+
+// compileBatchSemiAtom compiles a derived strategy-4 atom over vm to
+// batch form. A constant-only or single-dyadic atom runs column-wise
+// over its one column and reads rt only at run time, when the
+// eliminated variable's scan has resolved it; it counts exactly what
+// compileSemiAtom's row predicate counts — one comparison per selected
+// row while a derived predicate decides, none for a resolved constant.
+// A multi-dyadic atom tests its tuple list against reconstructed rows.
+func compileBatchSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (batchPred, error) {
+	if len(sa.Spec.Dyadic) > 1 {
+		pr, err := compileSemiAtom(sa, sch, rt)
+		if err != nil {
+			return batchPred{}, err
+		}
+		return liftRowPred(pr), nil
+	}
+	if sa.Spec.ConstOnly() {
+		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
+			if !rt.resolved {
+				return fmt.Errorf("engine: spec %d used before its scan finished", sa.Spec.ID)
+			}
+			if !rt.constVal {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}}, nil
+	}
+	ci, ok := sch.ColIndex(sa.Spec.Dyadic[0].VmCol)
+	if !ok {
+		return batchPred{}, fmt.Errorf("engine: relation %s has no component %s", sch.Name, sa.Spec.Dyadic[0].VmCol)
+	}
+	k, enum := sch.Cols[ci].Type.ValueKind(), ""
+	if k == value.KindEnum {
+		enum = sch.Cols[ci].Type.Name
+	}
+	all := sa.Spec.All
+	return batchPred{cols: []int{ci}, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		keep := all // an unresolved atom with no predicate yet: the empty tuple list's answer
+		switch {
+		case rt.resolved:
+			keep = rt.constVal
+		case rt.pred != nil:
+			st.CountComparisons(sel.Count())
+			if value.OrdKind(k) {
+				rt.pred.FilterOrdBits(k, enum, b.Ords(ci), sel.Words())
+				return nil
+			}
+			col := b.Vals(ci)
+			return sel.Filter(func(i int) (bool, error) { return rt.pred.Test(col[i]), nil })
+		}
+		if !keep {
+			sel.ClearAll(sel.Len())
+		}
+		return nil
+	}}, nil
 }
 
 // batchTask is a scanTask that can process a whole columnar batch. sel
@@ -473,7 +530,18 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 
 func (t *specTask) batchable() bool { return t.bOK }
 
-func (t *specTask) batchCols() ([]int, bool) { return nil, true } // builds whole rows
+// batchCols: a tuple list (several dyadic terms) projects whole rows;
+// a value list reads only its one dyadic column.
+func (t *specTask) batchCols() ([]int, bool) {
+	if len(t.dyCols) > 1 {
+		return nil, true
+	}
+	cols, all := unionPredCols(t.bRange, t.bMon)
+	if all {
+		return nil, true
+	}
+	return append(cols, t.dyCols...), false
+}
 
 func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
 	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
@@ -485,10 +553,20 @@ func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *sta
 		return 0, err
 	}
 	n := 0
-	row := make([]value.Value, b.NumCols())
+	if len(t.dyCols) > 1 {
+		row := make([]value.Value, b.NumCols())
+		sel.Do(func(i int) bool {
+			b.Row(i, row)
+			t.rt.add(row, mon.Has(i), t.dyCols)
+			n++
+			return true
+		})
+		return n, nil
+	}
 	sel.Do(func(i int) bool {
-		b.Row(i, row)
-		t.rt.add(row, mon.Has(i), t.dyCols)
+		if t.rt.admit(mon.Has(i)) && t.rt.vl != nil {
+			t.rt.vl.Add(b.ColVal(t.dyCols[0], i))
+		}
 		n++
 		return true
 	})
@@ -536,18 +614,27 @@ func (p *plan) finalizeBatchJobs() {
 	}
 }
 
-// batchPool recycles columnar batches across scans and executions: the
-// buffers are the dominant per-execution allocation of the vectorized
-// path (cols × batchSize interface values), and without reuse the GC
-// pressure erases the bulk-evaluation win on repeated queries. A batch
-// whose shape no longer matches (different column count, or a test
-// shrank batchSize) is simply dropped and a fresh one allocated.
-var batchPool sync.Pool
+// batchPools recycles columnar batches across scans and executions,
+// one sync.Pool per column count: the buffers are the dominant
+// per-execution allocation of the vectorized path (cols × batchSize
+// values), and without reuse the GC pressure erases the
+// bulk-evaluation win on repeated queries. Keying by width keeps a
+// plan that scans relations of different widths from dropping every
+// pooled batch; a batch whose capacity no longer matches (a test shrank
+// batchSize) is dropped and a fresh one allocated.
+var batchPools sync.Map // column count -> *sync.Pool
+
+func batchPool(ncols int) *sync.Pool {
+	if p, ok := batchPools.Load(ncols); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := batchPools.LoadOrStore(ncols, new(sync.Pool))
+	return p.(*sync.Pool)
+}
 
 func getBatch(ncols int) *colbatch.Batch {
-	if v := batchPool.Get(); v != nil {
-		b := v.(*colbatch.Batch)
-		if b.NumCols() == ncols && b.Cap() == batchSize {
+	if v := batchPool(ncols).Get(); v != nil {
+		if b := v.(*colbatch.Batch); b.Cap() == batchSize {
 			return b
 		}
 	}
@@ -556,7 +643,7 @@ func getBatch(ncols int) *colbatch.Batch {
 
 func putBatch(b *colbatch.Batch) {
 	b.Reset()
-	batchPool.Put(b)
+	batchPool(b.NumCols()).Put(b)
 }
 
 // scanSlotRangeBatch is the columnar drive of one slot range: fill a

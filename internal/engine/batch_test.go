@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"pascalr/internal/calculus"
+	"pascalr/internal/parser"
 	"pascalr/internal/relation"
+	"pascalr/internal/schema"
 	"pascalr/internal/stats"
 	"pascalr/internal/value"
 	"pascalr/internal/workload"
@@ -203,6 +205,108 @@ func TestBatchJobsActuallyBatch(t *testing.T) {
 		for _, job := range p.jobs {
 			if want := mode == ExecAuto; job.batch != want {
 				t.Fatalf("mode %s: job over %s batch=%v, want %v", mode, job.rel.Name(), job.batch, want)
+			}
+		}
+	}
+}
+
+// TestBatchSemiAtomColumnWise pins the column-wise strategy-4 atom: a
+// derived atom with one dyadic term runs as a bulk predicate over its
+// one column, so the remaining variable's scan materializes only that
+// column, and the run stays bit-identical — rows and counters — to
+// ExecTuple. The cases cover every form the value list resolves to:
+// the =SOME / <>ALL sets, the min/max bounds of <, <=, > and >=, the
+// singleton =ALL and <>SOME, the multi-value constants, and a spec
+// resolved to a constant before any list is consulted; over integer,
+// enumeration and string columns; at batch sizes that are not
+// multiples of 64, serially and on sharded scans.
+func TestBatchSemiAtomColumnWise(t *testing.T) {
+	db := workload.MustUniversity(workload.DefaultConfig(40))
+	k := db.MustRelation("timetable").Tuples()[0][0] // an employee number present in timetable
+	one := fmt.Sprintf("[EACH x IN timetable: x.tenr = %v]", k)
+	// roles shares employees' status and name types, for atoms over an
+	// enumeration and a string column.
+	cat := db.Catalog()
+	status, _ := cat.Type("statustype")
+	name, _ := cat.Type("nametype")
+	rnr, _ := cat.Type("enumbertype")
+	roles, err := db.Create(schema.MustRelSchema("roles", []schema.Column{
+		{Name: "rnr", Type: rnr}, {Name: "rstatus", Type: status}, {Name: "rname", Type: name},
+	}, []string{"rnr"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if _, err := roles.Insert([]value.Value{value.Int(int64(i)), value.Enum("statustype", i%3), value.String_(fmt.Sprintf("emp%06d", 3*i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		quant, col, pred string
+	}{
+		{"SOME t IN timetable (e.enr = t.tenr)", "enr", "x IN list"},
+		{"ALL t IN timetable (e.enr <> t.tenr)", "enr", "x NOT IN list"},
+		{"SOME t IN timetable (e.enr < t.tenr)", "enr", "x < "},
+		{"SOME t IN timetable (e.enr <= t.tenr)", "enr", "x <= "},
+		{"ALL t IN timetable (e.enr > t.tenr)", "enr", "x > "},
+		{"ALL t IN timetable (e.enr >= t.tenr)", "enr", "x >= "},
+		{"ALL t IN " + one + " (e.enr = t.tenr)", "enr", "x = "},
+		{"SOME t IN " + one + " (e.enr <> t.tenr)", "enr", "x <> "},
+		{"ALL t IN timetable (e.enr = t.tenr)", "enr", "always FALSE"},
+		{"SOME t IN timetable (e.enr <> t.tenr)", "enr", "always TRUE"},
+		{"SOME t IN timetable ((t.ttime < 0) AND (e.enr = t.tenr))", "enr", "resolved FALSE"},
+		{"SOME r IN roles (e.estatus = r.rstatus)", "estatus", "x IN list"},
+		{"ALL r IN roles (e.estatus >= r.rstatus)", "estatus", "x >= "},
+		{"SOME r IN roles (e.ename = r.rname)", "ename", "x IN list"},
+		{"ALL r IN roles (e.ename > r.rname)", "ename", "x > "},
+	}
+	ctx := context.Background()
+	emp := db.MustRelation("employees").Schema()
+	for _, bs := range []int{5, 67} {
+		setBatchSize(t, bs)
+		for _, c := range cases {
+			sel, err := parser.ParseSelection("[<e.ename> OF EACH e IN employees: " + c.quant + "]")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, par := range []int{1, 3} {
+				evalBoth(t, db, sel, Options{Strategies: AllStrategies, Parallelism: par})
+			}
+
+			checked, _, err := calculus.Check(sel, db.Catalog())
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Strategies: AllStrategies}
+			e := New(db, nil)
+			x, err := e.prepare(checked, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := e.collectWithAdaptation(ctx, x, &stats.Counters{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.specRTs) != 1 {
+				t.Fatalf("%s: %d strategy-4 specs, want 1", c.quant, len(p.specRTs))
+			}
+			for _, rt := range p.specRTs {
+				got := fmt.Sprintf("resolved %v", strings.ToUpper(fmt.Sprint(rt.constVal)))
+				if !rt.resolved {
+					got = rt.pred.String()
+				}
+				if !strings.HasPrefix(got, c.pred) {
+					t.Fatalf("%s: derived predicate %q, want %q", c.quant, got, c.pred)
+				}
+			}
+			ci, _ := emp.ColIndex(c.col)
+			for _, job := range p.jobs {
+				if job.rel.Name() != "employees" {
+					continue
+				}
+				if !job.batch || len(job.batchCols) != 1 || job.batchCols[0] != ci {
+					t.Fatalf("%s: employees scan batch=%v cols=%v, want only column %s (%d)", c.quant, job.batch, job.batchCols, c.col, ci)
+				}
 			}
 		}
 	}

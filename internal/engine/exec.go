@@ -339,7 +339,12 @@ func (p *plan) tasksForVar(v string) []scanTask {
 			}
 			task.monPreds = append(task.monPreds, pr)
 			if task.bOK {
-				task.bMon = append(task.bMon, liftRowPred(pr))
+				bp, berr := compileBatchSemiAtom(n, node.sch, rt)
+				if berr != nil {
+					task.bOK = false
+				} else {
+					task.bMon = append(task.bMon, bp)
+				}
 			}
 		}
 		for _, d := range spec.Dyadic {

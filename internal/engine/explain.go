@@ -144,12 +144,12 @@ func (pp *plan) actualCard(v string) (int, string) {
 // distinctIJRefs counts the distinct references of v across the
 // indirect joins it participates in.
 func (pp *plan) distinctIJRefs(v string) (int, bool) {
-	seen := map[string]struct{}{}
+	seen := map[int64]struct{}{}
 	found := false
 	count := func(side int, pairs [][2]value.Value) {
 		found = true
 		for _, pr := range pairs {
-			seen[value.EncodeKey([]value.Value{pr[side]})] = struct{}{}
+			seen[pr[side].Ord()] = struct{}{}
 		}
 	}
 	for _, cp := range pp.conjs {

@@ -81,7 +81,7 @@ func (ix *ixSpec) probe(p *plan, st *stats.Counters, op value.CmpOp, pv value.Va
 	}
 	in := p.rangeSet(ix.v)
 	ix.perm.ProbeStats(st, op, pv, func(ref value.Value) {
-		if _, ok := in[value.EncodeKey([]value.Value{ref})]; ok {
+		if _, ok := in[ref.Ord()]; ok {
 			fn(ref)
 		}
 	})
@@ -102,7 +102,7 @@ func (ix *ixSpec) entriesDo(p *plan, fn func(v, ref value.Value)) {
 	}
 	in := p.rangeSet(ix.v)
 	ix.perm.Entries(func(v, ref value.Value) {
-		if _, ok := in[value.EncodeKey([]value.Value{ref})]; ok {
+		if _, ok := in[ref.Ord()]; ok {
 			fn(v, ref)
 		}
 	})
@@ -214,7 +214,7 @@ type plan struct {
 	jobs      []*scanJob
 	rangeLst  map[string][]value.Value
 	needRange map[string]bool
-	rangeSets map[string]map[string]struct{}
+	rangeSets map[string]map[int64]struct{}
 	sls       map[string]*slSpec
 	ixs       map[string]*ixSpec
 	groups    map[string]*probeGroup
@@ -258,7 +258,7 @@ func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat St
 		vars:      map[string]*varNode{},
 		rangeLst:  map[string][]value.Value{},
 		needRange: map[string]bool{},
-		rangeSets: map[string]map[string]struct{}{},
+		rangeSets: map[string]map[int64]struct{}{},
 		sls:       map[string]*slSpec{},
 		ixs:       map[string]*ixSpec{},
 		groups:    map[string]*probeGroup{},
@@ -765,18 +765,18 @@ func (p *plan) publishRange(v string, refs []value.Value) {
 }
 
 // rangeSet returns (building lazily, under the plan lock) the set of
-// encoded references in v's range list; valid once v's scan has
-// completed — which the scheduler's dependency edges guarantee for
-// every prober.
-func (p *plan) rangeSet(v string) map[string]struct{} {
+// references in v's range list, keyed by their ordinals (every
+// reference is into v's relation); valid once v's scan has completed —
+// which the scheduler's dependency edges guarantee for every prober.
+func (p *plan) rangeSet(v string) map[int64]struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if s, ok := p.rangeSets[v]; ok {
 		return s
 	}
-	s := make(map[string]struct{}, len(p.rangeLst[v]))
+	s := make(map[int64]struct{}, len(p.rangeLst[v]))
 	for _, ref := range p.rangeLst[v] {
-		s[value.EncodeKey([]value.Value{ref})] = struct{}{}
+		s[ref.Ord()] = struct{}{}
 	}
 	p.rangeSets[v] = s
 	return s

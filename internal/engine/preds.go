@@ -163,17 +163,24 @@ func newSpecRuntime(spec *optimizer.SemiSpec) *specRuntime {
 	return rt
 }
 
-// add processes one element of the eliminated variable's range during
-// the collection scan. monPassed reports whether the element satisfied
-// the spec's monadic (and nested) predicates.
-func (rt *specRuntime) add(tuple []value.Value, monPassed bool, dyCols []int) {
+// admit counts one element of the eliminated variable's range and
+// reports whether its dyadic projection joins the value (or tuple)
+// list: SOME collects only filtered elements; ALL collects the whole
+// range (the monadic terms act as a global condition, counted
+// separately).
+func (rt *specRuntime) admit(monPassed bool) bool {
 	rt.total++
 	if monPassed {
 		rt.monOK++
 	}
-	// SOME collects only filtered elements; ALL collects the whole range
-	// (the monadic terms act as a global condition, counted separately).
-	if !rt.spec.All && !monPassed {
+	return rt.spec.All || monPassed
+}
+
+// add processes one element of the eliminated variable's range during
+// the collection scan. monPassed reports whether the element satisfied
+// the spec's monadic (and nested) predicates.
+func (rt *specRuntime) add(tuple []value.Value, monPassed bool, dyCols []int) {
+	if !rt.admit(monPassed) {
 		return
 	}
 	switch {
@@ -201,9 +208,7 @@ func (rt *specRuntime) merge(o *specRuntime) {
 	rt.monOK += o.monOK
 	switch {
 	case rt.vl != nil && o.vl != nil:
-		for _, v := range o.vl.Values() {
-			rt.vl.Add(v)
-		}
+		rt.vl.Merge(o.vl)
 	case rt.tupleSet != nil && o.tupleSet != nil:
 		for _, proj := range o.tuples {
 			k := value.EncodeKey(proj)
