@@ -18,10 +18,16 @@
 package enginetest
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"pascalr/internal/baseline"
@@ -85,7 +91,9 @@ type PlannerMode struct {
 // and once with a parallel collection phase (four workers), whose
 // result and merged counters must equal the serial run's exactly. It
 // returns the baseline's row count so callers can assert workload
-// coverage.
+// coverage. The serial runs' counter fingerprints, hashed in matrix
+// order, must also match the call's line in the golden file (see
+// checkGolden), so the paper's cost counters cannot drift silently.
 func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Selection, info *calculus.Info) int {
 	t.Helper()
 	ctx := context.Background()
@@ -95,6 +103,7 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 	}
 	wantKey := RelKey(want)
 	modes := PlannerModes(db) // the DB is not mutated during the matrix
+	fps := sha256.New()
 	for _, strat := range StrategySets() {
 		for _, mode := range modes {
 			opts := engine.Options{Strategies: strat, CostBased: mode.Est != nil, Estimator: mode.Est, Parallelism: 1}
@@ -111,6 +120,7 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 			// Snapshot before the prepared re-runs accumulate into the
 			// same engine sink.
 			serialFP := stSerial.Fingerprint()
+			fmt.Fprintln(fps, serialFP)
 			plan, err := eng.Compile(sel, info, opts)
 			if err != nil {
 				t.Fatalf("%s [%s %s]: compile: %v", label, strat, mode.Name, err)
@@ -170,7 +180,97 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 			}
 		}
 	}
+	checkGolden(t, label, fmt.Sprintf("%x", fps.Sum(nil)))
 	return want.Len()
+}
+
+// goldenPath holds one line per RunSelection call: a SHA-256 over the
+// call's 96 serial counter fingerprints (StrategySets × PlannerModes
+// order), then the key — the test's name and the call's label. To
+// regenerate it after a deliberate change to what the engine counts,
+// delete the file and run the whole package once, without -run or
+// -short: that run writes every line and fails, and the next run
+// passes. Review the diff before committing it.
+const goldenPath = "testdata/fingerprints.golden"
+
+var golden struct {
+	once sync.Once
+	mu   sync.Mutex
+	want map[string]string // key -> hash; nil when the file is absent
+	err  error
+	// recorded guards record mode against two calls sharing a key.
+	recorded map[string]bool
+}
+
+// checkGolden compares one call's fingerprint hash with its golden
+// line, or, when the golden file is absent, appends the line to a new
+// file and fails the test.
+func checkGolden(t *testing.T, label, sum string) {
+	t.Helper()
+	key := strings.ReplaceAll(t.Name()+" "+label, "\n", " ")
+	golden.once.Do(func() { golden.want, golden.err = loadGolden() })
+	if golden.err != nil {
+		t.Fatalf("%s: %v", goldenPath, golden.err)
+	}
+	golden.mu.Lock()
+	defer golden.mu.Unlock()
+	if golden.want != nil {
+		want, ok := golden.want[key]
+		switch {
+		case !ok:
+			t.Fatalf("%s: no line for %q; regenerate the file", goldenPath, key)
+		case want != sum:
+			t.Fatalf("%s: counter fingerprints of %q changed\nwant %s\ngot  %s", goldenPath, key, want, sum)
+		}
+		return
+	}
+	if golden.recorded[key] {
+		t.Fatalf("%s: two calls share the key %q", goldenPath, key)
+	}
+	if golden.recorded == nil {
+		golden.recorded = map[string]bool{}
+	}
+	golden.recorded[key] = true
+	f, err := os.OpenFile(goldenPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = fmt.Fprintf(f, "%s %s\n", sum, key)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Errorf("%s: recorded %q; rerun to check against it", goldenPath, key)
+}
+
+// loadGolden reads the golden file into a key -> hash map, or returns a
+// nil map when the file does not exist (record mode; the directory is
+// created so the first append succeeds).
+func loadGolden() (map[string]string, error) {
+	f, err := os.Open(goldenPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, os.MkdirAll("testdata", 0o755)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		sum, key, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			return nil, fmt.Errorf("malformed line %q", sc.Text())
+		}
+		if _, dup := want[key]; dup {
+			return nil, fmt.Errorf("duplicate key %q", key)
+		}
+		want[key] = sum
+	}
+	return want, sc.Err()
 }
 
 // cursorKey re-executes a compiled plan through the streaming cursor and

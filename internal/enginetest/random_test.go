@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -26,6 +27,6 @@ func TestRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: check: %v", seed, err)
 		}
-		RunSelection(t, checked.String(), db, checked, info)
+		RunSelection(t, fmt.Sprintf("seed %d: %s", seed, checked), db, checked, info)
 	}
 }
