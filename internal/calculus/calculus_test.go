@@ -279,6 +279,22 @@ func TestCheckErrors(t *testing.T) {
 		{"type mismatch", func(s *Selection) {
 			s.Pred = &Cmp{L: Field{"e", "enr"}, Op: value.OpEq, R: Field{"e", "ename"}}
 		}, "compares"},
+		{"type mismatch: int vs string constant", func(s *Selection) {
+			s.Pred = &Cmp{L: Field{"e", "enr"}, Op: value.OpEq, R: Const{value.String_("x")}}
+		}, "compares"},
+		{"type mismatch: string constant vs int", func(s *Selection) {
+			s.Pred = &Cmp{L: Const{value.String_("x")}, Op: value.OpLt, R: Field{"e", "enr"}}
+		}, "compares"},
+		{"type mismatch: int vs bool constant", func(s *Selection) {
+			s.Pred = &Cmp{L: Field{"e", "enr"}, Op: value.OpNe, R: Const{value.Bool(true)}}
+		}, "compares"},
+		{"type mismatch: enum vs int field", func(s *Selection) {
+			s.Pred = &Cmp{L: Field{"e", "estatus"}, Op: value.OpEq, R: Field{"e", "enr"}}
+		}, "compares"},
+		{"type mismatch: enum vs other enum field", func(s *Selection) {
+			s.Pred = &Quant{Var: "c", Range: &RangeExpr{Rel: "courses"},
+				Body: &Cmp{L: Field{"e", "estatus"}, Op: value.OpLe, R: Field{"c", "clevel"}}}
+		}, "compares"},
 		{"label against string field", func(s *Selection) {
 			s.Pred = &Cmp{L: Field{"e", "ename"}, Op: value.OpEq, R: Label{"professor"}}
 		}, "compares"},

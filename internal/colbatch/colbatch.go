@@ -197,9 +197,9 @@ func (b *Batch) ColVal(c, i int) value.Value {
 	return b.vals[c][i]
 }
 
-// Row reconstructs row i into dst, which must have NumCols capacity.
-// It is the degrade seam to tuple-at-a-time evaluation: predicates
-// with no bulk form run against the reconstructed row.
+// Row reconstructs row i into dst, which must have NumCols capacity,
+// for consumers that need whole rows: multi-dyadic strategy-4 tuple
+// lists and their spec feed.
 func (b *Batch) Row(i int, dst []value.Value) {
 	for c := range dst {
 		dst[c] = b.ColVal(c, i)

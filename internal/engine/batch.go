@@ -15,21 +15,19 @@ import (
 	"fmt"
 )
 
-// The vectorized collection path. A scan job whose tasks all compile to
-// batch form materializes columnar batches (internal/colbatch) instead
-// of dispatching tuple-at-a-time: predicates run as bulk operations
-// over whole columns, producing selection bitmaps combined with bitwise
-// AND/OR, and only surviving rows reach the per-row structure builders.
+// The collection path. Every scan job materializes columnar batches
+// (internal/colbatch): predicates run as bulk operations over whole
+// columns, producing selection bitmaps combined with bitwise AND/OR,
+// and only surviving rows reach the per-row structure builders.
 //
-// The counter discipline is the same one the parallel scans follow:
-// every bulk operation counts exactly what its tuple-at-a-time
-// counterpart would have, in the same order — a batched Cmp over a
-// selection of k rows counts k comparisons, a chain of predicates
-// evaluates (and counts) predicate j only over the rows predicates
-// 0..j-1 kept, and row-only predicates (multi-dyadic strategy-4 atoms)
-// run against reconstructed rows exactly on the selected positions. Batch
-// runs are therefore bit-identical — results AND counter fingerprints —
-// to ExecTuple runs, which enginetest asserts differentially.
+// The counter discipline is the paper's per-element cost model, and the
+// same one the parallel scans follow: a comparison over a selection of
+// k rows counts k comparisons, a chain of predicates evaluates (and
+// counts) predicate j only over the rows predicates 0..j-1 kept, and
+// row-only predicates (multi-dyadic strategy-4 atoms) run against
+// reconstructed rows exactly on the selected positions. Counters
+// therefore depend on neither the batch size nor the shard layout;
+// enginetest pins them per query in testdata/fingerprints.golden.
 
 // batchSize is the row capacity of one columnar batch. A variable, not
 // a constant, so tests shrink it to stress batch-boundary and
@@ -37,10 +35,10 @@ import (
 var batchSize = 1024
 
 // batchPred evaluates one predicate in bulk over a batch, clearing the
-// selection bits of rows that fail. run must count into st exactly what
-// the corresponding rowPred chain would for the selected rows, and must
-// not keep mutable state across calls — compiled predicates are shared
-// by concurrent shard tasks. cols lists the column indexes run reads
+// selection bits of rows that fail. run must count into st each
+// comparison it evaluates, on selected rows only, and must not keep
+// mutable state across calls — compiled predicates are shared by
+// concurrent shard tasks. cols lists the column indexes run reads
 // (all marks whole-row access instead); the scan materializes only the
 // union of its tasks' footprints into the batch — the projection
 // pushdown of the vectorized path.
@@ -72,12 +70,12 @@ func unionPredCols(chains ...[]batchPred) ([]int, bool) {
 }
 
 // evalBatchPreds applies a predicate chain to sel: predicate j sees
-// only the rows predicates 0..j-1 kept, mirroring evalPreds'
-// short-circuit counting.
+// only the rows predicates 0..j-1 kept, so a row's evaluation (and
+// counting) short-circuits at its first failing predicate.
 func evalBatchPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
 	for _, p := range preds {
 		if sel.Empty() {
-			return nil // nothing left to evaluate (or count) — as per tuple short-circuit
+			return nil // nothing left to evaluate (or count)
 		}
 		if err := p.run(b, sel, st); err != nil {
 			return err
@@ -86,32 +84,13 @@ func evalBatchPreds(preds []batchPred, b *colbatch.Batch, sel *colbatch.Bitmap, 
 	return nil
 }
 
-// liftRowPred degrades a row predicate to batch form: the predicate
-// runs against reconstructed rows, exactly on the selected positions in
-// ascending order, so its counting is untouched. This is the seam
-// where batches fall back to tuple-at-a-time evaluation; only
-// multi-dyadic strategy-4 atoms, which test a list of projected tuples,
-// still take it.
-func liftRowPred(pr rowPred) batchPred {
-	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
-		row := make([]value.Value, b.NumCols())
-		return sel.Filter(func(i int) (bool, error) {
-			b.Row(i, row)
-			return pr(row, st)
-		})
-	}}
-}
-
 // batchConstPred compiles "col[ci] op rhs" into a bulk predicate.
 // Int-backed columns run the unboxed FilterOrdBits kernel over the
 // batch's raw ordinal vector: the column's kind is known from the
 // schema, so the constant is type-checked here, at compile time, and
-// no per-row kind dispatch remains. A mismatched constant fails the
-// batch compile, degrading the job to the tuple path — which surfaces
-// the identical runtime comparison error (or none at all, if
-// evaluation never reaches the term; erroring eagerly here would
-// change observable behavior). String columns keep the boxed
-// FilterBits path.
+// no per-row kind dispatch remains. A mismatched constant is a compile
+// error: calculus.Check rejects such a query, so only an unchecked
+// selection reaches it. String columns keep the boxed FilterBits path.
 func batchConstPred(ci int, op value.CmpOp, rhs value.Value, sch *schema.RelSchema) (batchPred, error) {
 	k := sch.Cols[ci].Type.ValueKind()
 	if !value.OrdKind(k) {
@@ -181,8 +160,7 @@ func compileBatchMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batc
 		lk, rk := sch.Cols[li].Type.ValueKind(), sch.Cols[ri].Type.ValueKind()
 		if value.OrdKind(lk) || value.OrdKind(rk) {
 			// Same compile-time discipline as batchConstPred: a kind or
-			// enum-type mismatch degrades to the tuple path instead of
-			// erroring eagerly.
+			// enum-type mismatch is a compile error.
 			if lk != rk {
 				return batchPred{}, fmt.Errorf("engine: cannot compare %s column %s with %s column %s", lk, sch.Cols[li].Name, rk, sch.Cols[ri].Name)
 			}
@@ -226,11 +204,12 @@ func compileBatchMonadic(c *calculus.Cmp, v string, sch *schema.RelSchema) (batc
 	}
 }
 
-// compileBatchFilter compiles a quantifier-free filter formula into a
-// bulk predicate with the same evaluation (and counting) order as
-// compileFilter: And chains filter sequentially, Or evaluates disjunct
-// k only over rows no earlier disjunct admitted, Not evaluates its
-// operand over every row reaching it.
+// compileBatchFilter compiles a quantifier-free filter formula over the
+// filter variable fv (which denotes the scanned tuple) into a bulk
+// predicate with short-circuit evaluation (and counting) per row: And
+// chains filter sequentially, Or evaluates disjunct k only over rows no
+// earlier disjunct admitted, Not evaluates its operand over every row
+// reaching it.
 func compileBatchFilter(f calculus.Formula, fv string, sch *schema.RelSchema) (batchPred, error) {
 	switch g := f.(type) {
 	case nil:
@@ -309,62 +288,57 @@ func compileBatchFilters(fs []calculus.Formula, fv string, sch *schema.RelSchema
 	return out, nil
 }
 
-// rangeBatchPredsFor compiles v's range filter to batch form; ok=false
-// marks the variable's tasks tuple-only (the row compile surfaces any
-// real error — the batch compile failing alone just degrades the job).
-func (p *plan) rangeBatchPredsFor(v string) ([]batchPred, bool) {
+// rangeBatchPredsFor compiles v's range filter; nil when the range is
+// not extended.
+func (p *plan) rangeBatchPredsFor(v string) ([]batchPred, error) {
 	node := p.vars[v]
 	if !node.rng.Extended() {
-		return nil, true
+		return nil, nil
 	}
 	bp, err := compileBatchFilter(node.rng.Filter, node.rng.FilterVar, node.sch)
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	return []batchPred{bp}, true
+	return []batchPred{bp}, nil
 }
 
-// compileBatchAtoms compiles monadic atoms over v to batch form: plain
-// comparisons and derived strategy-4 atoms alike (compileBatchSemiAtom).
-func (p *plan) compileBatchAtoms(v string, atoms []optimizer.Atom) ([]batchPred, bool) {
+// compileBatchAtoms compiles monadic atoms over v: plain comparisons
+// and derived strategy-4 atoms alike (compileBatchSemiAtom).
+func (p *plan) compileBatchAtoms(v string, atoms []optimizer.Atom) ([]batchPred, error) {
 	node := p.vars[v]
 	out := make([]batchPred, 0, len(atoms))
 	for _, a := range atoms {
 		if a.Cmp != nil {
 			bp, err := compileBatchMonadic(a.Cmp, v, node.sch)
 			if err != nil {
-				return nil, false
+				return nil, err
 			}
 			out = append(out, bp)
 			continue
 		}
 		rt, ok := p.specRTs[a.Semi.Spec]
 		if !ok {
-			return nil, false
+			return nil, fmt.Errorf("engine: derived atom %s references unplanned spec", a)
 		}
 		bp, err := compileBatchSemiAtom(a.Semi, node.sch, rt)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		out = append(out, bp)
 	}
-	return out, true
+	return out, nil
 }
 
-// compileBatchSemiAtom compiles a derived strategy-4 atom over vm to
-// batch form. A constant-only or single-dyadic atom runs column-wise
-// over its one column and reads rt only at run time, when the
-// eliminated variable's scan has resolved it; it counts exactly what
-// compileSemiAtom's row predicate counts — one comparison per selected
-// row while a derived predicate decides, none for a resolved constant.
-// A multi-dyadic atom tests its tuple list against reconstructed rows.
+// compileBatchSemiAtom compiles a derived strategy-4 atom over vm. It
+// reads rt only at run time, when the eliminated variable's scan has
+// resolved it, and counts one comparison per selected row while a
+// derived predicate decides, none for a resolved constant. A
+// constant-only or single-dyadic atom runs column-wise over its one
+// column; a multi-dyadic atom tests its tuple list against
+// reconstructed rows (compileTupleListAtom).
 func compileBatchSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (batchPred, error) {
 	if len(sa.Spec.Dyadic) > 1 {
-		pr, err := compileSemiAtom(sa, sch, rt)
-		if err != nil {
-			return batchPred{}, err
-		}
-		return liftRowPred(pr), nil
+		return compileTupleListAtom(sa, sch, rt)
 	}
 	if sa.Spec.ConstOnly() {
 		return batchPred{run: func(_ *colbatch.Batch, sel *colbatch.Bitmap, _ *stats.Counters) error {
@@ -407,26 +381,60 @@ func compileBatchSemiAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *spe
 	}}, nil
 }
 
-// batchTask is a scanTask that can process a whole columnar batch. sel
-// arrives all-ones over the batch's rows and is the task's to mutate;
-// the returned count is the rows surviving the task's own predicate
-// chain (feeding the selection-density metrics).
-type batchTask interface {
-	scanTask
-	batchable() bool
-	// batchCols reports the column indexes processBatch reads, or
-	// all=true for whole-row access; the scan materializes only the
-	// union across its tasks.
-	batchCols() (cols []int, all bool)
-	processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error)
+// compileTupleListAtom compiles a multi-dyadic strategy-4 atom: each
+// selected row, reconstructed whole in ascending position order, is
+// tested against the spec's list of distinct projected vn tuples. A
+// tuple is compared term by term and counts one comparison per term
+// evaluated, stopping at its first failing term; the list scan stops at
+// the first tuple that decides the quantifier (a match for SOME, a
+// mismatch for ALL).
+func compileTupleListAtom(sa *optimizer.SemiAtom, sch *schema.RelSchema, rt *specRuntime) (batchPred, error) {
+	cols := make([]int, len(sa.Spec.Dyadic))
+	ops := make([]value.CmpOp, len(sa.Spec.Dyadic))
+	for i, d := range sa.Spec.Dyadic {
+		ci, ok := sch.ColIndex(d.VmCol)
+		if !ok {
+			return batchPred{}, fmt.Errorf("engine: relation %s has no component %s", sch.Name, d.VmCol)
+		}
+		cols[i], ops[i] = ci, d.Op
+	}
+	all := sa.Spec.All
+	return batchPred{all: true, run: func(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) error {
+		if rt.resolved {
+			if !rt.constVal {
+				sel.ClearAll(sel.Len())
+			}
+			return nil
+		}
+		row := make([]value.Value, b.NumCols())
+		return sel.Filter(func(i int) (bool, error) {
+			b.Row(i, row)
+			for _, vnTup := range rt.tuples {
+				match := true
+				for j, op := range ops {
+					st.CountComparisons(1)
+					ok, err := op.Apply(row[cols[j]], vnTup[j])
+					if err != nil {
+						return false, err
+					}
+					if !ok {
+						match = false
+						break
+					}
+				}
+				if match != all {
+					return match, nil
+				}
+			}
+			return all, nil
+		})
+	}}, nil
 }
 
-func (t *rangeTask) batchable() bool { return t.bOK }
-
-func (t *rangeTask) batchCols() ([]int, bool) { return unionPredCols(t.bRange) }
+func (t *rangeTask) batchCols() ([]int, bool) { return unionPredCols(t.preds) }
 
 func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -438,15 +446,13 @@ func (t *rangeTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 	return n, nil
 }
 
-func (t *slTask) batchable() bool { return t.bOK && t.spec.bOK }
-
-func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.bRange, t.spec.bPreds) }
+func (t *slTask) batchCols() ([]int, bool) { return unionPredCols(t.rangePreds, t.spec.preds) }
 
 func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	if err := evalBatchPreds(t.spec.bPreds, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.spec.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -458,10 +464,8 @@ func (t *slTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	return n, nil
 }
 
-func (t *ixTask) batchable() bool { return t.bOK }
-
 func (t *ixTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.bRange)
+	cols, all := unionPredCols(t.rangePreds)
 	if all {
 		return nil, true
 	}
@@ -469,7 +473,7 @@ func (t *ixTask) batchCols() ([]int, bool) {
 }
 
 func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -482,10 +486,8 @@ func (t *ixTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats
 	return n, nil
 }
 
-func (t *groupTask) batchable() bool { return t.bOK && t.grp.bOK }
-
 func (t *groupTask) batchCols() ([]int, bool) {
-	cols, all := unionPredCols(t.bRange, t.grp.bPreds)
+	cols, all := unionPredCols(t.rangePreds, t.grp.preds)
 	if all {
 		return nil, true
 	}
@@ -496,10 +498,10 @@ func (t *groupTask) batchCols() ([]int, bool) {
 }
 
 func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
-	if err := evalBatchPreds(t.grp.bPreds, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.grp.preds, b, sel, st); err != nil {
 		return 0, err
 	}
 	if t.matchBuf == nil {
@@ -528,15 +530,13 @@ func (t *groupTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *st
 	return n, nil
 }
 
-func (t *specTask) batchable() bool { return t.bOK }
-
 // batchCols: a tuple list (several dyadic terms) projects whole rows;
 // a value list reads only its one dyadic column.
 func (t *specTask) batchCols() ([]int, bool) {
 	if len(t.dyCols) > 1 {
 		return nil, true
 	}
-	cols, all := unionPredCols(t.bRange, t.bMon)
+	cols, all := unionPredCols(t.rangePreds, t.monPreds)
 	if all {
 		return nil, true
 	}
@@ -544,12 +544,12 @@ func (t *specTask) batchCols() ([]int, bool) {
 }
 
 func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *stats.Counters) (int, error) {
-	if err := evalBatchPreds(t.bRange, b, sel, st); err != nil {
+	if err := evalBatchPreds(t.rangePreds, b, sel, st); err != nil {
 		return 0, err
 	}
 	var mon colbatch.Bitmap
 	mon.CopyFrom(sel)
-	if err := evalBatchPreds(t.bMon, b, &mon, st); err != nil {
+	if err := evalBatchPreds(t.monPreds, b, &mon, st); err != nil {
 		return 0, err
 	}
 	n := 0
@@ -557,7 +557,7 @@ func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *sta
 		row := make([]value.Value, b.NumCols())
 		sel.Do(func(i int) bool {
 			b.Row(i, row)
-			t.rt.add(row, mon.Has(i), t.dyCols)
+			t.rt.addTuple(row, mon.Has(i), t.dyCols)
 			n++
 			return true
 		})
@@ -573,31 +573,19 @@ func (t *specTask) processBatch(b *colbatch.Batch, sel *colbatch.Bitmap, st *sta
 	return n, nil
 }
 
-// finalizeBatchJobs decides, per scan job, whether it runs the batched
-// path: every task must compile to batch form. errTask (a deferred
-// planning error) never does, so failing plans surface their error on
-// the tuple path unchanged. For batched jobs it also computes the
-// column mask — the union of the tasks' footprints, sorted for a
-// deterministic materialization order — so the scan copies only the
-// columns some task actually reads (nil = whole rows).
+// finalizeBatchJobs computes each scan job's column mask — the union
+// of its tasks' footprints, sorted for a deterministic materialization
+// order — so the scan copies only the columns some task actually reads
+// (nil = whole rows).
 func (p *plan) finalizeBatchJobs() {
-	if p.exec == ExecTuple {
-		return
-	}
 	for _, job := range p.jobs {
-		job.batch = len(job.tasks) > 0
 		seen := map[int]bool{}
 		cols, all := []int{}, false
 		for _, t := range job.tasks {
-			bt, ok := t.(batchTask)
-			if !ok || !bt.batchable() {
-				job.batch = false
-				break
-			}
-			tc, ta := bt.batchCols()
+			tc, ta := t.batchCols()
 			if ta {
 				all = true
-				continue
+				break
 			}
 			for _, c := range tc {
 				if !seen[c] {
@@ -606,7 +594,7 @@ func (p *plan) finalizeBatchJobs() {
 				}
 			}
 		}
-		if !job.batch || all {
+		if all {
 			continue
 		}
 		sort.Ints(cols)
@@ -646,11 +634,11 @@ func putBatch(b *colbatch.Batch) {
 	batchPool(b.NumCols()).Put(b)
 }
 
-// scanSlotRangeBatch is the columnar drive of one slot range: fill a
+// scanSlotRangeBatch drives the given tasks over one slot range of the
+// job's relation — a full scan, or one shard of a split scan: fill a
 // batch, run every task's bulk predicate chain over it, flush, repeat.
-// Cancellation is checked per batch — batchSize (1024) matches the old
-// per-tuple check interval, and the final partial batch checks too, so
-// cancellation latency is the same or tighter than the tuple path's.
+// Cancellation is checked before the scan and per batch, the final
+// partial batch included.
 func (p *plan) scanSlotRangeBatch(ctx context.Context, job *scanJob, tasks []scanTask, st *stats.Counters, lo, hi int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -667,7 +655,7 @@ func (p *plan) scanSlotRangeBatch(ctx context.Context, job *scanJob, tasks []sca
 		kept := int64(0)
 		for _, t := range tasks {
 			sel.SetAll(rows)
-			n, err := t.(batchTask).processBatch(b, &sel, st)
+			n, err := t.processBatch(b, &sel, st)
 			if err != nil {
 				return err
 			}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -225,7 +226,7 @@ func TestStrategy4Cascade(t *testing.T) {
 
 func TestExplain(t *testing.T) {
 	db := tinyUniversity(t)
-	checked, _, err := calculus.Check(workload.SampleSelection(), db.Catalog())
+	checked, info, err := calculus.Check(workload.SampleSelection(), db.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +244,18 @@ func TestExplain(t *testing.T) {
 	out, _ := eng.Explain(checked, Options{Strategies: AllStrategies})
 	if !strings.Contains(out, "strategies: S1+S2+S3+S4") {
 		t.Errorf("explain header wrong:\n%s", out)
+	}
+	// The analyzing explain reports what the execution scanned.
+	plan, err := eng.Compile(checked, info, Options{Strategies: AllStrategies})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = plan.Explain(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^execution: [1-9]\d* scans \([1-9]\d* batches\), combination serial$`).MatchString(out) {
+		t.Errorf("explain analyze execution line wrong:\n%s", out)
 	}
 }
 

@@ -151,7 +151,7 @@ func (p *plan) runScansParallel(ctx context.Context) error {
 				Run: func(ctx context.Context) error {
 					ssp := jsp.Start(fmt.Sprintf("shard [%d:%d)", lo, hi))
 					defer ssp.End()
-					return p.scanSlotRange(ctx, jb, tasks, snk, lo, hi)
+					return p.scanSlotRangeBatch(ctx, jb, tasks, snk, lo, hi)
 				},
 			})
 		}

@@ -37,12 +37,8 @@ type slSpec struct {
 	key   string
 	v     string
 	label string
-	preds []rowPred
+	preds []batchPred
 	out   *collection.SingleList
-	// bPreds is the bulk form of preds; bOK=false pins tasks reading
-	// this spec to the tuple path.
-	bPreds []batchPred
-	bOK    bool
 }
 
 // ixSpec describes one index over v's range: either built during v's
@@ -124,13 +120,9 @@ type probeRef struct {
 type probeGroup struct {
 	key    string
 	v      string
-	preds  []rowPred
+	preds  []batchPred
 	probes []probeRef
 	mutual bool
-	// bPreds is the bulk form of preds; bOK=false pins tasks reading
-	// this group to the tuple path.
-	bPreds []batchPred
-	bOK    bool
 }
 
 // dyAssign is a dyadic term with its probe/index side assignment.
@@ -169,12 +161,10 @@ type scanJob struct {
 	rel   *relation.Relation
 	vars  []string
 	tasks []scanTask
-	// batch marks the job for the vectorized drive: every task compiled
-	// to batch form (finalizeBatchJobs). batchCols is the job's column
-	// mask — the sorted union of its tasks' footprints, nil when some
-	// task reads whole rows. batches counts columnar batches produced
-	// across all shards, for EXPLAIN and span attributes.
-	batch     bool
+	// batchCols is the job's column mask (finalizeBatchJobs) — the
+	// sorted union of its tasks' footprints, nil when some task reads
+	// whole rows. batches counts columnar batches produced across all
+	// shards, for EXPLAIN and span attributes.
 	batchCols []int
 	batches   atomic.Int64
 }
@@ -188,10 +178,6 @@ type plan struct {
 	// par is the collection-phase worker budget; 1 runs the paper's
 	// serial schedule on the calling goroutine.
 	par int
-	// exec selects the collection drive: ExecAuto batches every job
-	// whose tasks all compile to bulk form, ExecTuple forces the
-	// tuple-at-a-time path everywhere.
-	exec ExecMode
 	// mu guards the structures that scan workers touch across job
 	// boundaries: the range-list map (published by range tasks, read by
 	// filtered permanent-index probes of concurrent scans) and the
@@ -247,12 +233,12 @@ type joinStep struct {
 	got  int
 }
 
-func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, par int, exec ExecMode) (*plan, error) {
+func buildPlan(x *optimizer.XForm, db *relation.DB, st *stats.Counters, strat Strategy, est *stats.Estimator, par int) (*plan, error) {
 	if par < 1 {
 		par = 1
 	}
 	p := &plan{
-		x: x, db: db, st: st, strat: strat, est: est, par: par, exec: exec,
+		x: x, db: db, st: st, strat: strat, est: est, par: par,
 		refBase:   st.RefTuples,
 		costCards: map[string]float64{},
 		vars:      map[string]*varNode{},
@@ -787,14 +773,11 @@ func (p *plan) singleListFor(v string, atoms []optimizer.Atom) (*slSpec, error) 
 	if sl, ok := p.sls[key]; ok {
 		return sl, nil
 	}
-	preds, err := p.compileAtoms(v, atoms)
+	preds, err := p.compileBatchAtoms(v, atoms)
 	if err != nil {
 		return nil, err
 	}
 	sl := &slSpec{key: key, v: v, label: sigOf(atoms), preds: preds, out: collection.NewSingleList(v)}
-	if p.exec != ExecTuple {
-		sl.bPreds, sl.bOK = p.compileBatchAtoms(v, atoms)
-	}
 	p.sls[key] = sl
 	return sl, nil
 }
@@ -812,14 +795,11 @@ func (p *plan) probeGroupFor(pv string, as []dyAssign, predAtoms []optimizer.Ato
 	if grp, ok := p.groups[key]; ok {
 		return grp, nil
 	}
-	preds, err := p.compileAtoms(pv, predAtoms)
+	preds, err := p.compileBatchAtoms(pv, predAtoms)
 	if err != nil {
 		return nil, err
 	}
 	grp := &probeGroup{key: key, v: pv, preds: preds, mutual: mutual}
-	if p.exec != ExecTuple {
-		grp.bPreds, grp.bOK = p.compileBatchAtoms(pv, predAtoms)
-	}
 	for _, a := range as {
 		ci, ok := node.sch.ColIndex(a.probeF.Col)
 		if !ok {
@@ -862,33 +842,6 @@ func (p *plan) deferredJoinFor(a dyAssign) (*deferredIJ, error) {
 	}
 	p.deferred = append(p.deferred, d)
 	return d, nil
-}
-
-// compileAtoms compiles monadic atoms (plain or derived) over v into row
-// predicates.
-func (p *plan) compileAtoms(v string, atoms []optimizer.Atom) ([]rowPred, error) {
-	node := p.vars[v]
-	out := make([]rowPred, 0, len(atoms))
-	for _, a := range atoms {
-		if a.Cmp != nil {
-			pr, err := compileMonadic(a.Cmp, v, node.sch)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pr)
-			continue
-		}
-		rt, ok := p.specRTs[a.Semi.Spec]
-		if !ok {
-			return nil, fmt.Errorf("engine: derived atom %s references unplanned spec", a)
-		}
-		pr, err := compileSemiAtom(a.Semi, node.sch, rt)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pr)
-	}
-	return out, nil
 }
 
 // orderVars topologically sorts the variables by scan dependencies,

@@ -4,13 +4,14 @@
 // histogram-cost planners, the latter two fed by the live incremental
 // statistics with no Analyze pass — and must produce exactly the
 // relation the tuple-substitution baseline produces. Each configuration
-// is exercised six ways: as a one-shot Eval (the vectorized batch
-// path), twice through a compiled Plan (the second time via the
-// streaming cursor), once with a parallel collection + combination
-// phase, and twice on the forced tuple-at-a-time path (serial and
-// parallel) — proving that plan reuse, streaming construction,
-// parallel scans, and the batch/tuple execution paths are result- and
-// counter-identical to compile-and-run. The pattern
+// is exercised four ways: as a one-shot Eval, twice through a compiled
+// Plan (the second time via the streaming cursor), and once with a
+// parallel collection + combination phase — proving that plan reuse,
+// streaming construction, and parallel scans are result- and
+// counter-identical to compile-and-run. The serial counter
+// fingerprints are pinned per call in testdata/fingerprints.golden, so
+// the paper's cost counters (scans, tuples read, probes, comparisons,
+// reference tuples) cannot drift unnoticed. The pattern
 // follows go-mysql-server's enginetest: a declarative query table, a set
 // of workload databases, and one runner that cross-checks all engine
 // configurations against the oracle, so a new query or a new planner
@@ -156,37 +157,16 @@ func RunSelection(t *testing.T, label string, db *relation.DB, sel *calculus.Sel
 				t.Fatalf("%s [%s %s]: parallel counters diverge from serial\nserial:   %s\nparallel: %s",
 					label, strat, mode.Name, sk, pk)
 			}
-			// Tuple-path legs: forcing the legacy tuple-at-a-time
-			// collection (serially and with a parallel collection +
-			// combination) must reproduce the vectorized runs above
-			// bit-identically — results and counter fingerprints.
-			for _, par := range []int{1, 4} {
-				optsTup := opts
-				optsTup.Exec = engine.ExecTuple
-				optsTup.Parallelism = par
-				stTup := &stats.Counters{}
-				gotTup, err := engine.New(db, stTup).Eval(ctx, sel, info, optsTup)
-				if err != nil {
-					t.Fatalf("%s [%s %s]: tuple-path par=%d: %v", label, strat, mode.Name, par, err)
-				}
-				if gotKey := RelKey(gotTup); gotKey != wantKey {
-					t.Fatalf("%s [%s %s]: tuple-path par=%d result mismatch\nwant %d rows, got %d rows\nquery: %s",
-						label, strat, mode.Name, par, want.Len(), gotTup.Len(), sel)
-				}
-				if sk, tk := serialFP, stTup.Fingerprint(); sk != tk {
-					t.Fatalf("%s [%s %s]: tuple-path par=%d counters diverge from batch path\nbatch: %s\ntuple: %s",
-						label, strat, mode.Name, par, sk, tk)
-				}
-			}
 		}
 	}
 	checkGolden(t, label, fmt.Sprintf("%x", fps.Sum(nil)))
 	return want.Len()
 }
 
-// goldenPath holds one line per RunSelection call: a SHA-256 over the
-// call's 96 serial counter fingerprints (StrategySets × PlannerModes
-// order), then the key — the test's name and the call's label. To
+// goldenPath names the file with one line per RunSelection call: a
+// SHA-256 over the call's 96 serial counter fingerprints (StrategySets
+// × PlannerModes order), then the key — the test's name and the call's
+// label. To
 // regenerate it after a deliberate change to what the engine counts,
 // delete the file and run the whole package once, without -run or
 // -short: that run writes every line and fails, and the next run
@@ -198,8 +178,6 @@ var golden struct {
 	mu   sync.Mutex
 	want map[string]string // key -> hash; nil when the file is absent
 	err  error
-	// recorded guards record mode against two calls sharing a key.
-	recorded map[string]bool
 }
 
 // checkGolden compares one call's fingerprint hash with its golden
@@ -224,13 +202,6 @@ func checkGolden(t *testing.T, label, sum string) {
 		}
 		return
 	}
-	if golden.recorded[key] {
-		t.Fatalf("%s: two calls share the key %q", goldenPath, key)
-	}
-	if golden.recorded == nil {
-		golden.recorded = map[string]bool{}
-	}
-	golden.recorded[key] = true
 	f, err := os.OpenFile(goldenPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
